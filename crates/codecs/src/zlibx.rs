@@ -11,7 +11,7 @@
 use std::time::Instant;
 
 use entropy::bitio::{BitReader, BitReaderFast, BitSrc, BitWriter};
-use entropy::huffman::HuffmanTable;
+use entropy::huffman::{HuffmanCode, HuffmanTable};
 use lzkit::{MatchParams, Strategy};
 
 use crate::codes::{
@@ -240,18 +240,18 @@ fn encode_block(data: &[u8], block: &lzkit::ParsedBlock) -> Option<Vec<u8>> {
         dist_freq[of_code(seq.offset) as usize] += 1;
     }
 
-    let lit_table = HuffmanTable::build(&lit_freq, 15)?;
+    let lit_code = HuffmanCode::build(&lit_freq, 15)?;
     // Distance table: 0 = no sequences, 1 = table, 2 = single code.
     let distinct_dists = dist_freq.iter().filter(|&&c| c > 0).count();
-    let dist_table = if distinct_dists >= 2 {
-        Some(HuffmanTable::build(&dist_freq, 15).expect(">=2 symbols present"))
+    let dist_code = if distinct_dists >= 2 {
+        Some(HuffmanCode::build(&dist_freq, 15).expect(">=2 symbols present"))
     } else {
         None
     };
 
     let mut out = Vec::with_capacity(data.len() / 2 + 256);
-    write_nibble_lengths(&mut out, lit_table.lengths());
-    match (&dist_table, distinct_dists) {
+    write_nibble_lengths(&mut out, lit_code.lengths());
+    match (&dist_code, distinct_dists) {
         (Some(t), _) => {
             out.push(1);
             write_nibble_lengths(&mut out, t.lengths());
@@ -268,25 +268,25 @@ fn encode_block(data: &[u8], block: &lzkit::ParsedBlock) -> Option<Vec<u8>> {
     let mut lit_pos = 0usize;
     for seq in &block.sequences {
         for &b in &block.literals[lit_pos..lit_pos + seq.literal_len as usize] {
-            lit_table.write_symbol(&mut w, b as u16);
+            lit_code.write_symbol(&mut w, b as u16);
         }
         lit_pos += seq.literal_len as usize;
         let mlv = seq.match_len - MIN_MATCH;
         let mlc = ml_code(mlv);
-        lit_table.write_symbol(&mut w, ML_SYM_BASE + mlc as u16);
+        lit_code.write_symbol(&mut w, ML_SYM_BASE + mlc as u16);
         let (base, bits) = ml_extra(mlc);
         w.write_bits((mlv - base) as u64, bits);
         let ofc = of_code(seq.offset);
-        if let Some(t) = &dist_table {
+        if let Some(t) = &dist_code {
             t.write_symbol(&mut w, ofc as u16);
         }
         let (base, bits) = of_extra(ofc);
         w.write_bits((seq.offset - base) as u64, bits);
     }
     for &b in &block.literals[lit_pos..] {
-        lit_table.write_symbol(&mut w, b as u16);
+        lit_code.write_symbol(&mut w, b as u16);
     }
-    lit_table.write_symbol(&mut w, EOB);
+    lit_code.write_symbol(&mut w, EOB);
 
     let (bits, nbits) = w.finish();
     write_varint(&mut out, nbits as u64);
@@ -355,17 +355,17 @@ fn encode_block4(data: &[u8], block: &lzkit::ParsedBlock) -> Option<Vec<u8>> {
     // buys far more decode throughput than the slightly longer codes
     // cost in ratio — and it is what lets the four interleaved cursors
     // actually overlap their lookups instead of queueing on L2.
-    let lit_table = HuffmanTable::build(&lit_freq, MULTI_STREAM_MAX_BITS)?;
+    let lit_code = HuffmanCode::build(&lit_freq, MULTI_STREAM_MAX_BITS)?;
     let distinct_dists = dist_freq.iter().filter(|&&c| c > 0).count();
-    let dist_table = if distinct_dists >= 2 {
-        Some(HuffmanTable::build(&dist_freq, MULTI_STREAM_MAX_BITS).expect(">=2 symbols present"))
+    let dist_code = if distinct_dists >= 2 {
+        Some(HuffmanCode::build(&dist_freq, MULTI_STREAM_MAX_BITS).expect(">=2 symbols present"))
     } else {
         None
     };
 
     let mut out = Vec::with_capacity(data.len() / 2 + 256);
-    write_nibble_lengths(&mut out, lit_table.lengths());
-    match (&dist_table, distinct_dists) {
+    write_nibble_lengths(&mut out, lit_code.lengths());
+    match (&dist_code, distinct_dists) {
         (Some(t), _) => {
             out.push(1);
             write_nibble_lengths(&mut out, t.lengths());
@@ -390,7 +390,7 @@ fn encode_block4(data: &[u8], block: &lzkit::ParsedBlock) -> Option<Vec<u8>> {
                      stream_start: &mut usize,
                      produced: usize| {
         while streams.len() < 3 && produced >= (streams.len() + 1) * decoded_len / 4 {
-            lit_table.write_symbol(w, EOB);
+            lit_code.write_symbol(w, EOB);
             let (bits, nbits) = std::mem::replace(w, BitWriter::with_capacity(64)).finish();
             streams.push((produced - *stream_start, bits, nbits));
             *stream_start = produced;
@@ -400,18 +400,18 @@ fn encode_block4(data: &[u8], block: &lzkit::ParsedBlock) -> Option<Vec<u8>> {
     let mut lit_pos = 0usize;
     for seq in &block.sequences {
         for &b in &block.literals[lit_pos..lit_pos + seq.literal_len as usize] {
-            lit_table.write_symbol(&mut w, b as u16);
+            lit_code.write_symbol(&mut w, b as u16);
             produced += 1;
             maybe_cut(&mut w, &mut streams, &mut stream_start, produced);
         }
         lit_pos += seq.literal_len as usize;
         let mlv = seq.match_len - MIN_MATCH;
         let mlc = ml_code(mlv);
-        lit_table.write_symbol(&mut w, ML_SYM_BASE + mlc as u16);
+        lit_code.write_symbol(&mut w, ML_SYM_BASE + mlc as u16);
         let (base, bits) = ml_extra(mlc);
         w.write_bits((mlv - base) as u64, bits);
         let ofc = of_code(seq.offset);
-        if let Some(t) = &dist_table {
+        if let Some(t) = &dist_code {
             t.write_symbol(&mut w, ofc as u16);
         }
         let (base, bits) = of_extra(ofc);
@@ -420,12 +420,12 @@ fn encode_block4(data: &[u8], block: &lzkit::ParsedBlock) -> Option<Vec<u8>> {
         maybe_cut(&mut w, &mut streams, &mut stream_start, produced);
     }
     for &b in &block.literals[lit_pos..] {
-        lit_table.write_symbol(&mut w, b as u16);
+        lit_code.write_symbol(&mut w, b as u16);
         produced += 1;
         maybe_cut(&mut w, &mut streams, &mut stream_start, produced);
     }
     debug_assert_eq!(produced, decoded_len);
-    lit_table.write_symbol(&mut w, EOB);
+    lit_code.write_symbol(&mut w, EOB);
     let (bits, nbits) = w.finish();
     streams.push((produced - stream_start, bits, nbits));
     debug_assert_eq!(streams.len(), 4);

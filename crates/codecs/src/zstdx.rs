@@ -23,7 +23,7 @@ use std::time::Instant;
 
 use entropy::bitio::{BitWriter, RevBitSrc, ReverseBitReader, ReverseBitReaderFast};
 use entropy::fse::{FseDecoder, FseEncoder, FseTable};
-use entropy::huffman::HuffmanTable;
+use entropy::huffman::{HuffmanCode, HuffmanTable};
 use lzkit::{MatchParams, ParsedBlock, Strategy};
 
 use crate::codes::{
@@ -630,10 +630,118 @@ const AUTO_LIT_PERCENT: usize = 50;
 /// explicit [`StreamPolicy::Quad`].
 const QUAD_SEQ_PAIR: usize = 2;
 
+/// Whether the literals section takes the four-substream layout under
+/// `policy`, for `lits` literal bytes in a block decoding to `decoded`.
+fn splits_literals(policy: StreamPolicy, lits: usize, decoded: usize) -> bool {
+    match policy {
+        StreamPolicy::Single => false,
+        StreamPolicy::Quad => lits >= 4,
+        StreamPolicy::Auto => lits >= AUTO_LIT_SPLIT && lits * 100 >= decoded * AUTO_LIT_PERCENT,
+    }
+}
+
+/// Bytes charged for the serialized literal code: the nibble-packed
+/// lengths of the 256-symbol byte alphabet.
+const LIT_TABLE_BYTES: usize = 128;
+
+/// Estimated Huffman literal-section size past the table and the coded
+/// bits: a size word, plus (four substreams) three more size words and
+/// up to three bytes of per-stream padding.
+fn lit_section_overhead(four: bool) -> usize {
+    if four {
+        24
+    } else {
+        8
+    }
+}
+
+/// A literal code together with its serialized description.
+type LiteralCode = (Vec<u8>, HuffmanCode);
+
+/// Builds the literal Huffman code and keeps it when the estimated
+/// section undercuts the raw literals.
+fn build_literal_code(lits: &[u8], four: bool) -> Option<LiteralCode> {
+    let freqs = entropy::hist::byte_histogram(lits);
+    let code = HuffmanCode::build(&freqs, 11)?;
+    let bits = code.encoded_bits(&freqs) as usize;
+    let estimated = LIT_TABLE_BYTES + bits.div_ceil(8) + lit_section_overhead(four);
+    (estimated < lits.len()).then(|| {
+        let mut desc = Vec::with_capacity(estimated);
+        write_nibble_lengths(&mut desc, code.lengths());
+        (desc, code)
+    })
+}
+
+/// [`build_literal_code`] behind a lower bound: every literal costs at
+/// least one bit, so when even `ceil(n / 8)` payload bytes would not
+/// undercut `n` raw literals, no code can pay and none is built. The
+/// outcome — and so the frame — is the same as building and rejecting.
+fn literal_code(lits: &[u8], four: bool) -> Option<LiteralCode> {
+    let floor = LIT_TABLE_BYTES + lits.len().div_ceil(8) + lit_section_overhead(four);
+    if floor >= lits.len() {
+        return None;
+    }
+    build_literal_code(lits, four)
+}
+
+/// Writes the literals section (raw, RLE, or Huffman with `code`'s
+/// result in one or four substreams). Returns whether it used the v4
+/// four-stream layout.
 // indexing_slicing: encode side — `lits[0]` sits behind the non-empty
-// branch, and the per-sequence arrays (`llc`/`mlc`/`ofc`) are built with
-// one entry per `parsed.sequences` element, so index `i < n` is valid
-// for all four.
+// branch.
+#[allow(clippy::indexing_slicing)]
+fn write_literals(
+    out: &mut Vec<u8>,
+    lits: &[u8],
+    four: bool,
+    code: impl FnOnce() -> Option<LiteralCode>,
+) -> bool {
+    if lits.is_empty() {
+        out.push(LIT_RAW);
+        write_varint(out, 0);
+        return false;
+    }
+    if lits.iter().all(|&b| b == lits[0]) {
+        out.push(LIT_RLE);
+        write_varint(out, lits.len() as u64);
+        out.push(lits[0]);
+        return false;
+    }
+    match code() {
+        Some((table_desc, code)) if four => {
+            out.push(LIT_HUFFMAN4);
+            write_varint(out, lits.len() as u64);
+            out.extend_from_slice(&table_desc);
+            let streams = code.encode_4stream(lits);
+            for s in &streams {
+                write_varint(out, s.len() as u64);
+            }
+            for s in &streams {
+                out.extend_from_slice(s);
+            }
+            true
+        }
+        Some((table_desc, code)) => {
+            let body = code.encode(lits);
+            out.push(LIT_HUFFMAN);
+            write_varint(out, lits.len() as u64);
+            out.extend_from_slice(&table_desc);
+            write_varint(out, body.len() as u64);
+            out.extend_from_slice(&body);
+            false
+        }
+        None => {
+            out.push(LIT_RAW);
+            write_varint(out, lits.len() as u64);
+            out.extend_from_slice(lits);
+            false
+        }
+    }
+}
+
+// indexing_slicing: encode side — the per-sequence arrays
+// (`llc`/`mlc`/`ofc`) are built with one entry per `parsed.sequences`
+// element, so index `i < n` is valid for all four.
 #[allow(clippy::indexing_slicing)]
 fn encode_block_payload_opts(
     parsed: &ParsedBlock,
@@ -641,7 +749,6 @@ fn encode_block_payload_opts(
     policy: StreamPolicy,
 ) -> (Vec<u8>, bool) {
     let mut out = Vec::with_capacity(parsed.literals.len() / 2 + 64);
-    let mut used_v4 = false;
 
     // --- Literals section ---
     let lits = &parsed.literals;
@@ -652,63 +759,8 @@ fn encode_block_payload_opts(
             .iter()
             .map(|s| s.match_len as usize)
             .sum::<usize>();
-    let four = match policy {
-        StreamPolicy::Single => false,
-        StreamPolicy::Quad => lits.len() >= 4,
-        StreamPolicy::Auto => {
-            lits.len() >= AUTO_LIT_SPLIT && lits.len() * 100 >= decoded * AUTO_LIT_PERCENT
-        }
-    };
-    if lits.is_empty() {
-        out.push(LIT_RAW);
-        write_varint(&mut out, 0);
-    } else if lits.iter().all(|&b| b == lits[0]) {
-        out.push(LIT_RLE);
-        write_varint(&mut out, lits.len() as u64);
-        out.push(lits[0]);
-    } else {
-        let freqs = entropy::hist::byte_histogram(lits);
-        let encoded = HuffmanTable::build(&freqs, 11).and_then(|table| {
-            let bits = table.encoded_bits(&freqs);
-            // Four substreams pay three extra size words and up to
-            // three bytes of per-stream padding on top of the
-            // single-stream estimate.
-            let estimated = 128 + (bits as usize).div_ceil(8) + if four { 24 } else { 8 };
-            (estimated < lits.len()).then(|| {
-                let mut sec = Vec::with_capacity(estimated);
-                write_nibble_lengths(&mut sec, table.lengths());
-                (sec, table)
-            })
-        });
-        match encoded {
-            Some((table_desc, table)) if four => {
-                used_v4 = true;
-                out.push(LIT_HUFFMAN4);
-                write_varint(&mut out, lits.len() as u64);
-                out.extend_from_slice(&table_desc);
-                let streams = table.encode_4stream(lits);
-                for s in &streams {
-                    write_varint(&mut out, s.len() as u64);
-                }
-                for s in &streams {
-                    out.extend_from_slice(s);
-                }
-            }
-            Some((table_desc, table)) => {
-                let body = table.encode(lits);
-                out.push(LIT_HUFFMAN);
-                write_varint(&mut out, lits.len() as u64);
-                out.extend_from_slice(&table_desc);
-                write_varint(&mut out, body.len() as u64);
-                out.extend_from_slice(&body);
-            }
-            None => {
-                out.push(LIT_RAW);
-                write_varint(&mut out, lits.len() as u64);
-                out.extend_from_slice(lits);
-            }
-        }
-    }
+    let four = splits_literals(policy, lits.len(), decoded);
+    let mut used_v4 = write_literals(&mut out, lits, four, || literal_code(lits, four));
 
     // --- Sequences section ---
     let n = parsed.sequences.len();
@@ -1284,6 +1336,50 @@ impl Compressor for Zstdx {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Around the no-build cutoff, skipping the Huffman build must write
+    /// exactly the literals section that building and rejecting writes.
+    #[test]
+    fn small_literal_skip_never_changes_the_section() {
+        let mut x = 0x2545_f491u32;
+        let mut huffman_sections = [0usize; 2];
+        for n in 1..=200usize {
+            // Two-symbol skew (one bit per literal, the cheapest code
+            // possible), a four-symbol alphabet, and 8-bit noise.
+            let skewed: Vec<u8> = (0..n).map(|i| b"ab"[usize::from(i % 17 == 3)]).collect();
+            let four_syms: Vec<u8> = (0..n).map(|i| b"abcd"[i % 4]).collect();
+            let noise: Vec<u8> = (0..n)
+                .map(|_| {
+                    x ^= x << 13;
+                    x ^= x >> 17;
+                    x ^= x << 5;
+                    (x >> 8) as u8
+                })
+                .collect();
+            for lits in [&skewed, &four_syms, &noise] {
+                for policy in [StreamPolicy::Single, StreamPolicy::Quad] {
+                    let four = splits_literals(policy, lits.len(), lits.len());
+                    let mut skipped = Vec::new();
+                    let mut built = Vec::new();
+                    let v4_skipped =
+                        write_literals(&mut skipped, lits, four, || literal_code(lits, four));
+                    let v4_built =
+                        write_literals(&mut built, lits, four, || build_literal_code(lits, four));
+                    assert_eq!(skipped, built, "n={n} {policy:?}");
+                    assert_eq!(v4_skipped, v4_built, "n={n} {policy:?}");
+                    if matches!(built[0], LIT_HUFFMAN | LIT_HUFFMAN4) {
+                        huffman_sections[usize::from(four)] += 1;
+                    }
+                }
+            }
+        }
+        // The sweep crosses the point where Huffman starts to pay, for
+        // both layouts.
+        assert!(
+            huffman_sections.iter().all(|&c| c > 0),
+            "{huffman_sections:?}"
+        );
+    }
 
     fn sample() -> Vec<u8> {
         (0..1200u32)

@@ -9,6 +9,10 @@
 //! Encoded streams are LSB-first ([`crate::bitio`]); codes are stored
 //! bit-reversed so the decoder can peek a fixed `max_bits`-wide window and
 //! index a flat lookup table.
+//!
+//! [`HuffmanCode`] is the encode half (lengths and codes);
+//! [`HuffmanTable`] wraps it with the decode tables, which only decoders
+//! build.
 
 use crate::bitio::{quad_readers_fast, BitReader, BitReaderFast, BitSrc, BitWriter};
 use crate::{Error, Result};
@@ -39,23 +43,22 @@ struct PairEntry {
     nsyms: u8,
 }
 
-/// A built Huffman code: per-symbol lengths/codes plus a flat decode table.
+/// The encode half of a canonical Huffman code: per-symbol lengths and
+/// bit-reversed codes. This is everything an encoder reads;
+/// [`HuffmanTable`] adds the decode lookup tables on top, so compress
+/// paths build a `HuffmanCode` and never pay for `1 << max_bits`-entry
+/// tables they would not touch.
 #[derive(Debug, Clone)]
-pub struct HuffmanTable {
+pub struct HuffmanCode {
     /// Code length per symbol; 0 means the symbol is absent.
     lens: Vec<u8>,
     /// Bit-reversed canonical code per symbol (LSB-first stream order).
     codes: Vec<u16>,
     /// Length of the longest code.
     max_bits: u32,
-    /// Flat decode table of size `1 << max_bits`: window -> (symbol, len).
-    decode: Vec<(u16, u8)>,
-    /// Multi-symbol table (same indexing), built when
-    /// `max_bits <= PAIR_TABLE_MAX_BITS`.
-    pair: Option<Vec<PairEntry>>,
 }
 
-impl HuffmanTable {
+impl HuffmanCode {
     /// Builds a length-limited canonical Huffman code for `freqs`.
     ///
     /// Returns `None` when fewer than two symbols are present — callers
@@ -87,18 +90,16 @@ impl HuffmanTable {
         Some(Self::from_lengths(&lens).expect("package-merge produces a complete code"))
     }
 
-    /// Reconstructs a table from canonical code lengths (0 = absent).
+    /// Assigns canonical codes to `lens` (0 = absent).
     ///
     /// # Errors
     ///
     /// Returns [`Error::CorruptTable`] if the lengths do not describe a
     /// complete prefix code, contain a length above [`MAX_CODE_BITS`], or
     /// fewer than two symbols are present.
-    // indexing_slicing: table construction. `bl_count`/`next_code` are
-    // indexed by code lengths already validated `<= MAX_CODE_BITS`;
-    // `codes` is sized from `lens` and indexed by its enumeration; the
-    // `decode` fill index starts at `rev < 2^l <= 2^max_bits` and the
-    // loop condition bounds it below `decode.len()`.
+    // indexing_slicing: `bl_count`/`next_code` are indexed by code
+    // lengths already validated `<= MAX_CODE_BITS`; `codes` is sized
+    // from `lens` and indexed by its enumeration.
     #[allow(clippy::indexing_slicing)]
     pub fn from_lengths(lens: &[u8]) -> Result<Self> {
         let max_bits = lens.iter().copied().max().unwrap_or(0) as u32;
@@ -132,45 +133,26 @@ impl HuffmanTable {
             code = (code + bl_count[bits - 1]) << 1;
             next_code[bits] = code;
         }
-
         let mut codes = vec![0u16; lens.len()];
-        let mut decode = vec![(0u16, 0u8); 1usize << max_bits];
         for (sym, &l) in lens.iter().enumerate() {
             if l == 0 {
                 continue;
             }
             let c = next_code[l as usize];
             next_code[l as usize] += 1;
-            let rev = reverse_bits(c, l as u32) as u16;
-            codes[sym] = rev;
-            // Fill every table slot whose low `l` bits equal the reversed code.
-            let step = 1usize << l;
-            let mut idx = rev as usize;
-            while idx < decode.len() {
-                decode[idx] = (sym as u16, l);
-                idx += step;
-            }
+            codes[sym] = reverse_bits(c, l as u32) as u16;
         }
-
-        let pair = (max_bits <= PAIR_TABLE_MAX_BITS).then(|| build_pair_table(&decode, max_bits));
 
         Ok(Self {
             lens: lens.to_vec(),
             codes,
             max_bits,
-            decode,
-            pair,
         })
     }
 
     /// Per-symbol code lengths (0 = absent). Serializable table form.
     pub fn lengths(&self) -> &[u8] {
         &self.lens
-    }
-
-    /// Length of the longest code in bits.
-    pub fn max_bits(&self) -> u32 {
-        self.max_bits
     }
 
     /// Exact encoded size in bits for the given histogram.
@@ -197,6 +179,115 @@ impl HuffmanTable {
         w.write_bits(self.codes[sym as usize] as u64, len as u32);
     }
 
+    /// Encodes a byte slice into a fresh bit buffer (zero-padded).
+    pub fn encode(&self, data: &[u8]) -> Vec<u8> {
+        let mut w = BitWriter::with_capacity(data.len());
+        for &b in data {
+            self.write_symbol(&mut w, b as u16);
+        }
+        w.finish().0
+    }
+
+    /// Splits `data` into the four substreams of the multi-stream
+    /// literals layout (see [`four_stream_split`]) and encodes each
+    /// independently. Decode with [`HuffmanTable::decode_4stream`] or
+    /// [`HuffmanTable::decode_4stream_fast`].
+    pub fn encode_4stream(&self, data: &[u8]) -> [Vec<u8>; 4] {
+        let [n0, n1, n2, _] = four_stream_split(data.len());
+        let (s0, rest) = data.split_at(n0);
+        let (s1, rest) = rest.split_at(n1);
+        let (s2, s3) = rest.split_at(n2);
+        [
+            self.encode(s0),
+            self.encode(s1),
+            self.encode(s2),
+            self.encode(s3),
+        ]
+    }
+}
+
+/// A built Huffman code plus its decode tables: the canonical code, a
+/// flat `1 << max_bits` window lookup, and (for short codes) the
+/// multi-symbol pair table.
+#[derive(Debug, Clone)]
+pub struct HuffmanTable {
+    /// The canonical code the tables are derived from.
+    code: HuffmanCode,
+    /// Flat decode table of size `1 << max_bits`: window -> (symbol, len).
+    decode: Vec<(u16, u8)>,
+    /// Multi-symbol table (same indexing), built when
+    /// `max_bits <= PAIR_TABLE_MAX_BITS`.
+    pair: Option<Vec<PairEntry>>,
+}
+
+impl HuffmanTable {
+    /// Builds a length-limited canonical Huffman code for `freqs`, with
+    /// decode tables. Encoders that never decode use
+    /// [`HuffmanCode::build`].
+    ///
+    /// Returns `None` when fewer than two symbols are present.
+    ///
+    /// # Panics
+    ///
+    /// As [`HuffmanCode::build`].
+    pub fn build(freqs: &[u32], max_bits: u32) -> Option<Self> {
+        HuffmanCode::build(freqs, max_bits).map(Self::from_code)
+    }
+
+    /// Reconstructs a table from canonical code lengths (0 = absent).
+    ///
+    /// # Errors
+    ///
+    /// As [`HuffmanCode::from_lengths`].
+    pub fn from_lengths(lens: &[u8]) -> Result<Self> {
+        HuffmanCode::from_lengths(lens).map(Self::from_code)
+    }
+
+    /// Derives the decode tables for a canonical code.
+    // indexing_slicing: each fill index starts at a reversed code
+    // `rev < 2^l <= 2^max_bits` and the loop condition bounds it below
+    // `decode.len()`.
+    #[allow(clippy::indexing_slicing)]
+    fn from_code(code: HuffmanCode) -> Self {
+        let max_bits = code.max_bits;
+        let mut decode = vec![(0u16, 0u8); 1usize << max_bits];
+        for (sym, (&l, &rev)) in code.lens.iter().zip(&code.codes).enumerate() {
+            if l == 0 {
+                continue;
+            }
+            // Fill every table slot whose low `l` bits equal the reversed code.
+            let step = 1usize << l;
+            let mut idx = rev as usize;
+            while idx < decode.len() {
+                decode[idx] = (sym as u16, l);
+                idx += step;
+            }
+        }
+        let pair = (max_bits <= PAIR_TABLE_MAX_BITS).then(|| build_pair_table(&decode, max_bits));
+        Self { code, decode, pair }
+    }
+
+    /// Per-symbol code lengths (0 = absent). Serializable table form.
+    pub fn lengths(&self) -> &[u8] {
+        self.code.lengths()
+    }
+
+    /// Length of the longest code in bits.
+    pub fn max_bits(&self) -> u32 {
+        self.code.max_bits
+    }
+
+    /// Encodes a byte slice into a fresh bit buffer (zero-padded); see
+    /// [`HuffmanCode::encode`].
+    pub fn encode(&self, data: &[u8]) -> Vec<u8> {
+        self.code.encode(data)
+    }
+
+    /// Four-substream encode; see [`HuffmanCode::encode_4stream`].
+    pub fn encode_4stream(&self, data: &[u8]) -> [Vec<u8>; 4] {
+        self.code.encode_4stream(data)
+    }
+
     /// Reads one symbol from `r`.
     ///
     /// # Errors
@@ -209,25 +300,13 @@ impl HuffmanTable {
     #[allow(clippy::indexing_slicing)]
     #[inline]
     pub fn read_symbol<R: BitSrc>(&self, r: &mut R) -> Result<u16> {
-        let window = r.peek_bits_lenient(self.max_bits) as usize;
+        let window = r.peek_bits_lenient(self.code.max_bits) as usize;
         let (sym, len) = self.decode[window];
         if len == 0 {
             return Err(Error::CorruptData("invalid huffman window"));
         }
         r.consume(len as u32)?;
         Ok(sym)
-    }
-
-    /// Encodes a byte slice into a fresh bit buffer (zero-padded).
-    ///
-    /// Convenience wrapper used by tests and small callers; the codecs
-    /// drive [`Self::write_symbol`] directly into their own streams.
-    pub fn encode(&self, data: &[u8]) -> Vec<u8> {
-        let mut w = BitWriter::with_capacity(data.len());
-        for &b in data {
-            self.write_symbol(&mut w, b as u16);
-        }
-        w.finish().0
     }
 
     /// Decodes exactly `n` byte symbols from `buf`.
@@ -267,7 +346,7 @@ impl HuffmanTable {
         let mut out = Vec::with_capacity(n);
         if let Some(pair) = &self.pair {
             while out.len() + 2 <= n {
-                let window = r.peek_bits_lenient(self.max_bits) as usize;
+                let window = r.peek_bits_lenient(self.code.max_bits) as usize;
                 let e = pair[window];
                 if e.nsyms == 2 {
                     // Replay the slow path's consume/range-check ordering
@@ -310,23 +389,6 @@ impl HuffmanTable {
     /// corpora are visible on `/metrics`.
     pub fn has_pair_table(&self) -> bool {
         self.pair.is_some()
-    }
-
-    /// Splits `data` into the four substreams of the multi-stream
-    /// literals layout (see [`four_stream_split`]) and encodes each
-    /// independently. Decode with [`Self::decode_4stream`] or
-    /// [`Self::decode_4stream_fast`].
-    pub fn encode_4stream(&self, data: &[u8]) -> [Vec<u8>; 4] {
-        let [n0, n1, n2, _] = four_stream_split(data.len());
-        let (s0, rest) = data.split_at(n0);
-        let (s1, rest) = rest.split_at(n1);
-        let (s2, s3) = rest.split_at(n2);
-        [
-            self.encode(s0),
-            self.encode(s1),
-            self.encode(s2),
-            self.encode(s3),
-        ]
     }
 
     /// Reference decode of four substreams produced by
@@ -403,7 +465,7 @@ impl HuffmanTable {
         w: &mut std::slice::IterMut<'_, u8>,
         rem: &mut usize,
     ) -> Result<()> {
-        let window = r.peek_bits_lenient(self.max_bits) as usize;
+        let window = r.peek_bits_lenient(self.code.max_bits) as usize;
         // The peek is masked to `max_bits`, so the lookup always hits.
         let e = pair
             .get(window)
@@ -506,69 +568,66 @@ fn build_pair_table(decode: &[(u16, u8)], max_bits: u32) -> Vec<PairEntry> {
 }
 
 /// Computes optimal length-limited code lengths via package-merge.
+///
+/// List 0 is the present symbols ("items") sorted by weight, stably, so
+/// equal weights keep symbol order. List `k` merges the items with the
+/// pairwise packages of list `k - 1`, an item winning weight ties. Only
+/// weights and one item-or-package flag per position are kept: the code
+/// lengths fall out of unrolling the first `2(n - 1)` entries of the
+/// last list. At each level the items in that prefix are the lightest
+/// items in sorted order (each gains one bit of length), and its `p`
+/// packages cover the first `2p` entries one level down. O(n · max_bits).
 // indexing_slicing: encode-side table construction. `present` holds
-// enumerated indices of `freqs`; `chunks_exact(2)` guarantees both
-// `pair[0]` and `pair[1]` exist; `items[a..]`/`packaged[b..]` use the
-// merge cursors bounded by the loop conditions; `lens` is sized from
-// `freqs` and leaves are recorded `freqs` indices.
+// enumerated indices of `freqs`; `weights[2b + 1]` exists for
+// `b < weights.len() / 2`; `items[a]` is read only while `a < n` (the
+// package arm takes every step once `a == n`); each prefix is clamped
+// to its level's length and holds at most `n` items; `lens` is sized
+// from `freqs` and indexed by recorded `freqs` indices.
 #[allow(clippy::indexing_slicing)]
 fn package_merge_lengths(freqs: &[u32], present: &[usize], max_bits: u32) -> Vec<u8> {
-    // Each node is (weight, leaves-it-covers). Alphabets here are small
-    // (<= ~320 symbols), so carrying leaf vectors is cheap and keeps the
-    // implementation obviously correct.
-    #[derive(Clone)]
-    struct Node {
-        weight: u64,
-        leaves: Vec<u32>,
-    }
+    let mut items: Vec<(u64, usize)> = present.iter().map(|&i| (freqs[i] as u64, i)).collect();
+    items.sort_by_key(|&(w, _)| w);
+    let n = items.len();
 
-    let mut items: Vec<Node> = present
-        .iter()
-        .map(|&i| Node {
-            weight: freqs[i] as u64,
-            leaves: vec![i as u32],
-        })
-        .collect();
-    items.sort_by_key(|n| n.weight);
-
-    let mut list: Vec<Node> = items.clone();
+    // `is_item[k - 1][j]`: entry `j` of list `k` is an item, not a package.
+    let mut is_item: Vec<Vec<bool>> = Vec::with_capacity(max_bits as usize);
+    let mut weights: Vec<u64> = items.iter().map(|&(w, _)| w).collect();
     for _ in 1..max_bits {
-        // Package: pair up adjacent nodes of the previous list.
-        let mut packaged: Vec<Node> = Vec::with_capacity(list.len() / 2);
-        let mut it = list.chunks_exact(2);
-        for pair in &mut it {
-            let mut leaves = pair[0].leaves.clone();
-            leaves.extend_from_slice(&pair[1].leaves);
-            packaged.push(Node {
-                weight: pair[0].weight + pair[1].weight,
-                leaves,
-            });
-        }
-        // Merge with the original items, keeping sorted order.
-        let mut merged = Vec::with_capacity(items.len() + packaged.len());
+        let packages = weights.len() / 2;
+        let mut merged = Vec::with_capacity(n + packages);
+        let mut flags = Vec::with_capacity(n + packages);
         let (mut a, mut b) = (0, 0);
-        while a < items.len() && b < packaged.len() {
-            if items[a].weight <= packaged[b].weight {
-                merged.push(items[a].clone());
-                a += 1;
-            } else {
-                merged.push(packaged[b].clone());
-                b += 1;
+        while a < n || b < packages {
+            let package = (b < packages).then(|| weights[2 * b] + weights[2 * b + 1]);
+            match package {
+                Some(w) if a == n || w < items[a].0 => {
+                    merged.push(w);
+                    flags.push(false);
+                    b += 1;
+                }
+                _ => {
+                    merged.push(items[a].0);
+                    flags.push(true);
+                    a += 1;
+                }
             }
         }
-        merged.extend_from_slice(&items[a..]);
-        merged.extend_from_slice(&packaged[b..]);
-        list = merged;
+        weights = merged;
+        is_item.push(flags);
     }
 
-    // Count how often each leaf appears in the first 2(n-1) nodes: that is
-    // its code length.
     let mut lens = vec![0u8; freqs.len()];
-    let take = 2 * (present.len() - 1);
-    for node in list.iter().take(take) {
-        for &leaf in &node.leaves {
-            lens[leaf as usize] += 1;
+    let mut take = 2 * (n - 1);
+    for flags in is_item.iter().rev() {
+        let prefix = &flags[..take.min(flags.len())];
+        let leaves = prefix.iter().filter(|&&f| f).count();
+        for &(_, sym) in &items[..leaves] {
+            lens[sym] += 1;
         }
+        take = 2 * (prefix.len() - leaves);
+    }
+    for &(_, sym) in &items[..take.min(n)] {
+        lens[sym] += 1;
     }
     lens
 }
@@ -583,6 +642,126 @@ fn reverse_bits(v: u32, n: u32) -> u32 {
 mod tests {
     use super::*;
     use crate::hist::byte_histogram;
+
+    /// The original package-merge: every node carries the leaves it
+    /// covers, cloned at each package and merge step (quadratic). Kept
+    /// as the reference the linear version must match exactly.
+    fn package_merge_lengths_reference(freqs: &[u32], present: &[usize], max_bits: u32) -> Vec<u8> {
+        #[derive(Clone)]
+        struct Node {
+            weight: u64,
+            leaves: Vec<u32>,
+        }
+
+        let mut items: Vec<Node> = present
+            .iter()
+            .map(|&i| Node {
+                weight: freqs[i] as u64,
+                leaves: vec![i as u32],
+            })
+            .collect();
+        items.sort_by_key(|n| n.weight);
+
+        let mut list: Vec<Node> = items.clone();
+        for _ in 1..max_bits {
+            // Package: pair up adjacent nodes of the previous list.
+            let mut packaged: Vec<Node> = Vec::with_capacity(list.len() / 2);
+            let mut it = list.chunks_exact(2);
+            for pair in &mut it {
+                let mut leaves = pair[0].leaves.clone();
+                leaves.extend_from_slice(&pair[1].leaves);
+                packaged.push(Node {
+                    weight: pair[0].weight + pair[1].weight,
+                    leaves,
+                });
+            }
+            // Merge with the original items, keeping sorted order.
+            let mut merged = Vec::with_capacity(items.len() + packaged.len());
+            let (mut a, mut b) = (0, 0);
+            while a < items.len() && b < packaged.len() {
+                if items[a].weight <= packaged[b].weight {
+                    merged.push(items[a].clone());
+                    a += 1;
+                } else {
+                    merged.push(packaged[b].clone());
+                    b += 1;
+                }
+            }
+            merged.extend_from_slice(&items[a..]);
+            merged.extend_from_slice(&packaged[b..]);
+            list = merged;
+        }
+
+        // Count how often each leaf appears in the first 2(n-1) nodes: that is
+        // its code length.
+        let mut lens = vec![0u8; freqs.len()];
+        let take = 2 * (present.len() - 1);
+        for node in list.iter().take(take) {
+            for &leaf in &node.leaves {
+                lens[leaf as usize] += 1;
+            }
+        }
+        lens
+    }
+
+    /// Deterministic splitmix64 stream for the equivalence sweep.
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    fn fibonacci(n: usize) -> Vec<u32> {
+        let (mut a, mut b) = (1u32, 1u32);
+        (0..n)
+            .map(|_| {
+                let f = a;
+                (a, b) = (b, a.saturating_add(b));
+                f
+            })
+            .collect()
+    }
+
+    #[test]
+    fn package_merge_matches_clone_based_reference() {
+        let mut state = 0x5eed_u64;
+        let mut cases = 0;
+        for n in 2..=320usize {
+            for max_bits in [9u32, 11, 15] {
+                let r = splitmix(&mut state);
+                let mut freqs: Vec<u32> = match r % 6 {
+                    0 => vec![1 + (r >> 8) as u32 % 1000; n],
+                    1 => (0..n)
+                        .map(|_| 1 + (splitmix(&mut state) % 1_000_000) as u32)
+                        .collect(),
+                    2 => (0..n).map(|_| 1 << (splitmix(&mut state) % 20)).collect(),
+                    3 => (0..n).map(|i| (i as u32 + 1).pow(2)).collect(),
+                    4 => fibonacci(n),
+                    _ => (0..n)
+                        .map(|_| 1 + (splitmix(&mut state) % 8) as u32)
+                        .collect(),
+                };
+                // Absent symbols between present ones.
+                if r & (1 << 40) != 0 {
+                    freqs.iter_mut().step_by(3).skip(1).for_each(|f| *f = 0);
+                }
+                let present: Vec<usize> = (0..n).filter(|&i| freqs[i] > 0).collect();
+                if present.len() < 2 {
+                    continue;
+                }
+                assert_eq!(
+                    package_merge_lengths(&freqs, &present, max_bits),
+                    package_merge_lengths_reference(&freqs, &present, max_bits),
+                    "n={n} max_bits={max_bits} shape={}",
+                    r % 6
+                );
+                cases += 1;
+            }
+        }
+        assert!(cases > 900, "only {cases} histograms exercised");
+    }
 
     fn roundtrip(data: &[u8], max_bits: u32) {
         let freqs = byte_histogram(data);
@@ -619,15 +798,7 @@ mod tests {
     #[test]
     fn respects_length_limit() {
         // Fibonacci-like weights force long codes in unlimited Huffman.
-        let mut freqs = vec![0u32; 24];
-        let mut a = 1u32;
-        let mut b = 1u32;
-        for f in freqs.iter_mut() {
-            *f = a;
-            let next = a.saturating_add(b);
-            a = b;
-            b = next;
-        }
+        let freqs = fibonacci(24);
         for limit in [6u32, 8, 11, 15] {
             let table = HuffmanTable::build(&freqs, limit).unwrap();
             assert!(table.max_bits() <= limit, "limit {limit} violated");
@@ -645,7 +816,7 @@ mod tests {
         data.extend_from_slice(b"bcdefgh");
         let freqs = byte_histogram(&data);
         let table = HuffmanTable::build(&freqs, 11).unwrap();
-        let bits = table.encoded_bits(&freqs);
+        let bits = table.code.encoded_bits(&freqs);
         assert!(
             bits < data.len() as u64 * 2,
             "expected < 2 bits/sym, got {bits}"
@@ -837,14 +1008,7 @@ mod tests {
     #[test]
     fn pair_table_presence_tracks_max_bits() {
         // Fibonacci-ish weights force deep codes when the limit allows.
-        let mut freqs = vec![0u32; 24];
-        let (mut a, mut b) = (1u32, 1u32);
-        for f in freqs.iter_mut() {
-            *f = a;
-            let next = a.saturating_add(b);
-            a = b;
-            b = next;
-        }
+        let freqs = fibonacci(24);
         let wide = HuffmanTable::build(&freqs, 15).unwrap();
         assert!(wide.max_bits() > PAIR_TABLE_MAX_BITS);
         assert!(!wide.has_pair_table());
@@ -858,7 +1022,7 @@ mod tests {
         let data: Vec<u8> = b"abcc".iter().cycle().take(8192).copied().collect();
         let freqs = byte_histogram(&data);
         let table = HuffmanTable::build(&freqs, 11).unwrap();
-        let avg = table.encoded_bits(&freqs) as f64 / data.len() as f64;
+        let avg = table.code.encoded_bits(&freqs) as f64 / data.len() as f64;
         let h = crate::hist::shannon_entropy(&freqs);
         assert!(avg >= h - 1e-9);
         assert!(avg < h + 1.0);

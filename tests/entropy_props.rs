@@ -4,7 +4,7 @@
 
 use datacomp::entropy::fse::FseTable;
 use datacomp::entropy::hist::{byte_histogram, normalize_counts, symbol_histogram};
-use datacomp::entropy::huffman::HuffmanTable;
+use datacomp::entropy::huffman::{HuffmanCode, HuffmanTable};
 use proptest::prelude::*;
 
 proptest! {
@@ -27,6 +27,40 @@ proptest! {
         let freqs = byte_histogram(&data);
         if let Some(t) = HuffmanTable::build(&freqs, max_bits) {
             prop_assert!(t.max_bits() <= max_bits);
+        }
+    }
+
+    /// Built lengths form a complete prefix code (Kraft sum exactly 1)
+    /// within the limit, over alphabets up to 320 symbols, and the
+    /// encode-only code writes the same bits the full table does.
+    #[test]
+    fn huffman_code_is_complete_and_encodes_like_the_table(
+        freqs in proptest::collection::vec(0u32..100_000, 2..=320),
+        limit in 0usize..3,
+    ) {
+        let max_bits = [9u32, 11, 15][limit];
+        if let Some(code) = HuffmanCode::build(&freqs, max_bits) {
+            let lens = code.lengths();
+            prop_assert!(lens.iter().all(|&l| u32::from(l) <= max_bits));
+            for (&f, &l) in freqs.iter().zip(lens) {
+                prop_assert_eq!(f > 0, l > 0);
+            }
+            let kraft: u64 = lens.iter().filter(|&&l| l > 0).map(|&l| 1u64 << (15 - l)).sum();
+            prop_assert_eq!(kraft, 1u64 << 15);
+
+            let table = HuffmanTable::build(&freqs, max_bits).unwrap();
+            prop_assert_eq!(table.lengths(), lens);
+            let data: Vec<u8> = (0..freqs.len().min(256))
+                .filter(|&i| freqs[i] > 0)
+                .map(|i| i as u8)
+                .cycle()
+                .take(1000)
+                .collect();
+            let bits = code.encode(&data);
+            prop_assert_eq!(&table.encode(&data), &bits);
+            prop_assert_eq!(table.decode(&bits, data.len()).unwrap(), data);
+        } else {
+            prop_assert!(freqs.iter().filter(|&&f| f > 0).count() < 2);
         }
     }
 
