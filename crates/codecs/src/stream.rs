@@ -97,6 +97,7 @@ impl<W: Write> CompressWriter<W> {
             self.history_len,
             end,
             &self.params,
+            None,
             last,
             true,
             StreamPolicy::Auto,

@@ -207,22 +207,34 @@ impl Zstdx {
         }
 
         // The working buffer is dictionary content followed by the whole
-        // input; blocks parse with growing history.
-        let (buf, base) = match dict {
+        // input (the input alone without a dictionary); blocks parse
+        // with growing history.
+        let joined: Vec<u8>;
+        let (buf, base): (&[u8], usize) = match dict {
             Some(d) => {
-                let mut b = Vec::with_capacity(d.as_bytes().len() + src.len());
-                b.extend_from_slice(d.as_bytes());
-                b.extend_from_slice(src);
-                (b, d.as_bytes().len())
+                joined = [d.as_bytes(), src].concat();
+                (&joined, d.len())
             }
-            None => (src.to_vec(), 0),
+            None => (src, 0),
         };
+        let dict_state = dict.map(Dictionary::match_state);
 
         let mut start = base;
         let mut any_v4 = false;
         while start < buf.len() {
             let end = (start + BLOCK_SIZE).min(buf.len());
-            any_v4 |= self.compress_block(&buf, start, end, &mut out, timing.as_deref_mut());
+            any_v4 |= write_block_opts(
+                buf,
+                start,
+                end,
+                &self.params,
+                dict_state,
+                false,
+                self.rep_offsets,
+                self.streams,
+                &mut out,
+                timing.as_deref_mut(),
+            );
             start = end;
         }
         // The flag byte is patched after the fact: only frames that
@@ -237,27 +249,6 @@ impl Zstdx {
             out.extend_from_slice(&crate::xxhash::content_checksum(src).to_le_bytes());
         }
         out
-    }
-
-    fn compress_block(
-        &self,
-        buf: &[u8],
-        start: usize,
-        end: usize,
-        out: &mut Vec<u8>,
-        timing: Option<&mut StageTiming>,
-    ) -> bool {
-        write_block_opts(
-            buf,
-            start,
-            end,
-            &self.params,
-            false,
-            self.rep_offsets,
-            self.streams,
-            out,
-            timing,
-        )
     }
 }
 
@@ -281,6 +272,7 @@ pub(crate) fn write_block(
         start,
         end,
         params,
+        None,
         last,
         true,
         StreamPolicy::Single,
@@ -289,10 +281,11 @@ pub(crate) fn write_block(
     );
 }
 
-/// [`write_block`] with the repeat-offset ablation knob and the
-/// multi-stream policy exposed. Returns whether the written block uses
-/// the v4 layout (the caller must then set [`FLAG_V4`] in its frame
-/// header).
+/// [`write_block`] with the dictionary's match-finder state (when
+/// `buf` starts with that dictionary), the repeat-offset ablation knob
+/// and the multi-stream policy exposed. Returns whether the written
+/// block uses the v4 layout (the caller must then set [`FLAG_V4`] in
+/// its frame header).
 // indexing_slicing: encode side — `start <= end <= buf.len()` is the
 // frame writer's block-split invariant, and `data[0]` sits behind the
 // `data.len() >= 2` RLE check.
@@ -303,6 +296,7 @@ pub(crate) fn write_block_opts(
     start: usize,
     end: usize,
     params: &MatchParams,
+    dict: Option<&lzkit::DictState>,
     last: bool,
     use_reps: bool,
     policy: StreamPolicy,
@@ -322,7 +316,11 @@ pub(crate) fn write_block_opts(
         }
 
         let mf_start = Instant::now();
-        let parsed = lzkit::parse(&buf[..end], start, params);
+        let parse = |p: &MatchParams| match dict {
+            Some(d) => lzkit::parse_with_dict(&buf[..end], start, p, d),
+            None => lzkit::parse(&buf[..end], start, p),
+        };
+        let parsed = parse(params);
         // The optimal parser prices offsets without repeat-offset
         // awareness; at the highest levels, also try a rep-friendly lazy
         // parse (moderate search depth, early target exit — deep
@@ -335,7 +333,7 @@ pub(crate) fn write_block_opts(
                 target_length: 160,
                 ..*params
             };
-            lzkit::parse(&buf[..end], start, &lazy)
+            parse(&lazy)
         });
         let mf_elapsed = mf_start.elapsed();
 

@@ -5,16 +5,45 @@
 //! previous one. The lazy variant re-evaluates at `pos + 1` and defers
 //! the current match when the next position offers a longer one — the
 //! mid-level compression behaviour of real codecs.
+//!
+//! # Dictionary history
+//!
+//! With a [`Digest`](crate::dict::Digest) attached, positions below
+//! `base` (the digested dictionary positions) are never inserted: the
+//! head table starts as a copy of the digest's head, and their links
+//! are read from the digest. Positions at or above `base` (the
+//! dictionary's last three positions, earlier blocks of the frame, and
+//! the input) are inserted as usual, into a chain sized for them alone.
+//! The parse is the one a finder primed by inserting the dictionary
+//! itself would make:
+//!
+//! * The head seen when inserting a local position is the latest
+//!   earlier position with its hash: a local one if one was inserted
+//!   (every local position is newer than every digested one), else the
+//!   digest's.
+//! * A link is read only for a candidate `c` that passed the window
+//!   check `pos - c <= max_offset`, at a time when positions up to
+//!   `pos` are inserted. A shared chain of size `S > max_offset` would
+//!   have overwritten `c`'s slot only by inserting `c + k * S > pos`,
+//!   which has not happened yet; so every link such a chain returns is
+//!   the exact previous position with `c`'s hash, which is what the
+//!   digest (for `c < base`) and the local chain (for `c >= base`,
+//!   same argument with its own size) return. `S > max_offset` holds
+//!   whenever `window_log <= 22`, the cap on the chain table below.
 
+use crate::dict::History;
 use crate::params::MatchParams;
 use crate::seq::{ParsedBlock, Sequence};
 use crate::{hash4, match_length};
 
-pub(crate) struct ChainFinder<'b> {
+pub(crate) struct ChainFinder<'b, H> {
     buf: &'b [u8],
     head: Vec<u32>,
     chain: Vec<u32>,
     chain_mask: usize,
+    /// Digested dictionary history; positions below `dict.len()` are
+    /// never inserted locally.
+    dict: H,
     hash_log: u32,
     max_offset: usize,
     min_match: usize,
@@ -26,27 +55,30 @@ pub(crate) struct ChainFinder<'b> {
     hash_limit: usize,
 }
 
-impl<'b> ChainFinder<'b> {
-    pub(crate) fn new(buf: &'b [u8], p: &MatchParams) -> Self {
+impl<'b, H: History> ChainFinder<'b, H> {
+    pub(crate) fn new(buf: &'b [u8], p: &MatchParams, dict: H) -> Self {
+        let base = dict.len();
         // The chain table must cover the whole window: if positions
         // wrap within the window, newer inserts clobber live chain
         // links and the walk degrades to one or two hops. (zlib sizes
-        // prev[] to exactly its window for the same reason.)
-        let span = p.max_offset().min(buf.len()).max(2);
+        // prev[] to exactly its window for the same reason.) Only local
+        // positions live in it.
+        let span = p.max_offset().min(buf.len() - base).max(2);
         let span_log = usize::BITS - (span - 1).leading_zeros();
         let chain_log = p.chain_log.max(span_log).clamp(1, 22);
         let chain_size = 1usize << chain_log;
         Self {
             buf,
-            head: vec![u32::MAX; 1usize << p.hash_log],
+            head: dict.head_table(p.hash_log),
             chain: vec![u32::MAX; chain_size],
             chain_mask: chain_size - 1,
+            dict,
             hash_log: p.hash_log,
             max_offset: p.max_offset(),
             min_match: p.min_match as usize,
             target_length: p.target_length as usize,
             search_attempts: p.search_attempts.max(1),
-            inserted: 0,
+            inserted: base,
             hash_limit: buf.len().saturating_sub(3),
         }
     }
@@ -62,16 +94,14 @@ impl<'b> ChainFinder<'b> {
         }
     }
 
-    /// Finds the best match at `pos`. Returns `(length, offset)`; length
-    /// 0 means no acceptable match. Requires `pos` already inserted.
-    pub(crate) fn best_match(&self, pos: usize) -> (usize, usize) {
-        if pos >= self.hash_limit {
-            return (0, 0);
-        }
-        let buf = self.buf;
-        let len = buf.len();
-        let mut best_len = self.min_match - 1;
-        let mut best_off = 0usize;
+    /// Visits the candidates for the inserted position `pos` along its
+    /// hash chain, nearest first, while they lie in the window and
+    /// `search_attempts` last; stops early when `visit` returns false.
+    /// Links of digested positions come from the digest, the others
+    /// from the local chain; see the module docs for why neither ever
+    /// returns an overwritten slot here.
+    #[inline(always)]
+    fn walk(&self, pos: usize, mut visit: impl FnMut(usize) -> bool) {
         // `pos` itself is the chain head after insertion; start at its
         // predecessor.
         let mut cand = self.chain[pos & self.chain_mask];
@@ -81,6 +111,31 @@ impl<'b> ChainFinder<'b> {
             if c >= pos || pos - c > self.max_offset {
                 break;
             }
+            if !visit(c) {
+                break;
+            }
+            let next = self.dict.link_or(c, self.chain[c & self.chain_mask]);
+            // Stale-entry guard: chains must strictly decrease.
+            if next != u32::MAX && next as usize >= c {
+                break;
+            }
+            cand = next;
+            attempts -= 1;
+        }
+    }
+
+    /// Finds the best match at `pos`. Returns `(length, offset)`; length
+    /// 0 means no acceptable match. Requires `pos` already inserted.
+    #[inline(always)]
+    pub(crate) fn best_match(&self, pos: usize) -> (usize, usize) {
+        if pos >= self.hash_limit {
+            return (0, 0);
+        }
+        let buf = self.buf;
+        let len = buf.len();
+        let mut best_len = self.min_match - 1;
+        let mut best_off = 0usize;
+        self.walk(pos, |c| {
             // Quick rejection: the byte that would extend the best match.
             if pos + best_len < len && buf[c + best_len] == buf[pos + best_len] {
                 let l = match_length(buf, c, pos, len);
@@ -92,18 +147,12 @@ impl<'b> ChainFinder<'b> {
                     best_len = l;
                     best_off = pos - c;
                     if l >= self.target_length {
-                        break;
+                        return false;
                     }
                 }
             }
-            let next = self.chain[c & self.chain_mask];
-            // Stale-entry guard: chains must strictly decrease.
-            if next != u32::MAX && next as usize >= c {
-                break;
-            }
-            cand = next;
-            attempts -= 1;
-        }
+            true
+        });
         if best_len >= self.min_match {
             (best_len, best_off)
         } else {
@@ -117,19 +166,13 @@ impl<'b> ChainFinder<'b> {
     /// parser.
     pub(crate) fn candidates(&self, pos: usize, cap: usize, out: &mut Vec<(u32, u32)>) {
         out.clear();
-        if pos >= self.hash_limit {
+        if pos >= self.hash_limit || cap == 0 {
             return;
         }
         let buf = self.buf;
         let len = buf.len();
         let mut best_len = self.min_match - 1;
-        let mut cand = self.chain[pos & self.chain_mask];
-        let mut attempts = self.search_attempts;
-        while cand != u32::MAX && attempts > 0 && out.len() < cap {
-            let c = cand as usize;
-            if c >= pos || pos - c > self.max_offset {
-                break;
-            }
+        self.walk(pos, |c| {
             if pos + best_len < len && buf[c + best_len] == buf[pos + best_len] {
                 let l = match_length(buf, c, pos, len);
                 if l > best_len {
@@ -137,13 +180,8 @@ impl<'b> ChainFinder<'b> {
                     out.push((l as u32, (pos - c) as u32));
                 }
             }
-            let next = self.chain[c & self.chain_mask];
-            if next != u32::MAX && next as usize >= c {
-                break;
-            }
-            cand = next;
-            attempts -= 1;
-        }
+            out.len() < cap
+        });
     }
 }
 
@@ -158,14 +196,20 @@ fn offset_bit_delta(new_off: usize, best_off: usize) -> i64 {
     bits(new_off) - bits(best_off)
 }
 
-pub(crate) fn parse(buf: &[u8], start: usize, p: &MatchParams, lazy: bool) -> ParsedBlock {
+pub(crate) fn parse(
+    buf: &[u8],
+    start: usize,
+    p: &MatchParams,
+    dict: impl History,
+    lazy: bool,
+) -> ParsedBlock {
     let len = buf.len();
     let mut block = ParsedBlock::new();
     if len - start == 0 {
         return block;
     }
 
-    let mut finder = ChainFinder::new(buf, p);
+    let mut finder = ChainFinder::new(buf, p, dict);
     if start > 0 {
         finder.insert_through(start - 1);
     }
@@ -247,6 +291,7 @@ pub(crate) fn parse(buf: &[u8], start: usize, p: &MatchParams, lazy: bool) -> Pa
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dict::NoDict;
     use crate::seq::reconstruct;
     use crate::Strategy;
 
@@ -261,7 +306,13 @@ mod tests {
     #[test]
     fn greedy_roundtrip() {
         let data = b"abcabcabcabc_then_something_else_abcabc";
-        let block = parse(data, 0, &greedy().shrunk_for_input(data.len()), false);
+        let block = parse(
+            data,
+            0,
+            &greedy().shrunk_for_input(data.len()),
+            NoDict,
+            false,
+        );
         assert_eq!(reconstruct(&block, &[]).unwrap(), data);
     }
 
@@ -272,7 +323,7 @@ mod tests {
         // is needed because a decoy match begins one position earlier.
         let data = b"match_longer_XXXX_match_lo_YYYY_match_longer_";
         let p = lazy().shrunk_for_input(data.len());
-        let block = parse(data, 0, &p, true);
+        let block = parse(data, 0, &p, NoDict, true);
         assert_eq!(reconstruct(&block, &[]).unwrap(), data);
         let max_match = block.sequences.iter().map(|s| s.match_len).max().unwrap();
         assert!(
@@ -289,8 +340,8 @@ mod tests {
         let data = b"abcd~~~~bcdefghijklmnop____abcdefghijklmnop";
         let pg = greedy().shrunk_for_input(data.len());
         let pl = lazy().shrunk_for_input(data.len());
-        let g = parse(data, 0, &pg, false);
-        let l = parse(data, 0, &pl, true);
+        let g = parse(data, 0, &pg, NoDict, false);
+        let l = parse(data, 0, &pl, NoDict, true);
         assert_eq!(reconstruct(&g, &[]).unwrap(), data);
         assert_eq!(reconstruct(&l, &[]).unwrap(), data);
         let cost = |b: &ParsedBlock| b.literals.len() + 3 * b.sequences.len();
@@ -304,7 +355,7 @@ mod tests {
         data.extend(vec![b'.'; 2100]);
         data.extend_from_slice(b"unique_prefix_0123456789");
         let p = greedy().with_window_log(10); // 1 KiB window
-        let block = parse(&data, 0, &p, false);
+        let block = parse(&data, 0, &p, NoDict, false);
         assert_eq!(reconstruct(&block, &[]).unwrap(), data);
         for s in &block.sequences {
             assert!(s.offset as usize <= 1 << 10);
@@ -315,7 +366,7 @@ mod tests {
     fn candidates_increasing_lengths() {
         let data = b"abcd_1_abcde_2_abcdef_3_abcdefg";
         let p = greedy().shrunk_for_input(data.len());
-        let mut f = ChainFinder::new(data, &p);
+        let mut f = ChainFinder::new(data, &p, NoDict);
         f.insert_through(data.len());
         let pos = data.len() - 7; // final "abcdefg"
         let mut cands = Vec::new();
@@ -332,7 +383,7 @@ mod tests {
         // Hash chains on runs are degenerate; target_length early exit
         // plus attempt caps must keep this fast and correct.
         let data = vec![0u8; 100_000];
-        let block = parse(&data, 0, &lazy().shrunk_for_input(data.len()), true);
+        let block = parse(&data, 0, &lazy().shrunk_for_input(data.len()), NoDict, true);
         assert_eq!(reconstruct(&block, &[]).unwrap(), data);
         assert!(block.literals.len() < 64);
     }

@@ -6,6 +6,7 @@
 //! behind the low compression levels whose dominance the paper reports
 //! in its fleet-level level-usage characterization (Figure 4).
 
+use crate::dict::History;
 use crate::params::MatchParams;
 use crate::seq::{ParsedBlock, Sequence};
 use crate::{hash4, match_length, read_u32};
@@ -13,20 +14,22 @@ use crate::{hash4, match_length, read_u32};
 /// How fast the skip stride grows over unmatched territory.
 const SKIP_TRIGGER: u32 = 6;
 
-pub(crate) fn parse(buf: &[u8], start: usize, p: &MatchParams) -> ParsedBlock {
+pub(crate) fn parse(buf: &[u8], start: usize, p: &MatchParams, dict: impl History) -> ParsedBlock {
     let len = buf.len();
     let mut block = ParsedBlock::new();
     if len - start == 0 {
         return block;
     }
 
-    let mut table = vec![u32::MAX; 1usize << p.hash_log];
+    let mut table = dict.head_table(p.hash_log);
     let max_offset = p.max_offset();
     // Number of positions where a 4-byte hash can be formed.
     let hash_limit = len.saturating_sub(3);
 
-    // Load history (dictionary / earlier frame content).
-    for pos in 0..start.min(hash_limit) {
+    // The table starts as the digest's head; load the history it does
+    // not cover (the dictionary's last three positions, earlier frame
+    // content).
+    for pos in dict.len()..start.min(hash_limit) {
         table[hash4(buf, pos, p.hash_log)] = pos as u32;
     }
 
@@ -103,6 +106,7 @@ pub(crate) fn parse(buf: &[u8], start: usize, p: &MatchParams) -> ParsedBlock {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dict::NoDict;
     use crate::seq::reconstruct;
     use crate::Strategy;
 
@@ -113,7 +117,7 @@ mod tests {
     #[test]
     fn finds_simple_repeat() {
         let data = b"0123456789_0123456789_0123456789";
-        let block = parse(data, 0, &params().shrunk_for_input(data.len()));
+        let block = parse(data, 0, &params().shrunk_for_input(data.len()), NoDict);
         assert_eq!(reconstruct(&block, &[]).unwrap(), data);
         // One overlapping match can cover both repeats; what matters is
         // that most of the data is matched, not literal.
@@ -126,7 +130,7 @@ mod tests {
         // The hash probe lands mid-repeat; backward extension must still
         // recover the full second occurrence.
         let data = b"xyzw_abcdefgh_longer_abcdefgh_longer_tail";
-        let block = parse(data, 0, &params().shrunk_for_input(data.len()));
+        let block = parse(data, 0, &params().shrunk_for_input(data.len()), NoDict);
         assert_eq!(reconstruct(&block, &[]).unwrap(), data);
         let max_match = block
             .sequences
@@ -143,7 +147,7 @@ mod tests {
     #[test]
     fn run_compresses_via_overlap() {
         let data = vec![b'z'; 500];
-        let block = parse(&data, 0, &params().shrunk_for_input(data.len()));
+        let block = parse(&data, 0, &params().shrunk_for_input(data.len()), NoDict);
         assert_eq!(reconstruct(&block, &[]).unwrap(), data);
         assert!(block.literals.len() < 16);
     }
@@ -159,14 +163,14 @@ mod tests {
             })
             .collect();
         data.extend(std::iter::repeat_n(b"pattern!", 64).flatten());
-        let block = parse(&data, 0, &params().shrunk_for_input(data.len()));
+        let block = parse(&data, 0, &params().shrunk_for_input(data.len()), NoDict);
         assert_eq!(reconstruct(&block, &[]).unwrap(), data);
     }
 
     #[test]
     fn tiny_inputs_are_all_literals() {
         for data in [&b""[..], b"a", b"ab", b"abc"] {
-            let block = parse(data, 0, &params().shrunk_for_input(data.len()));
+            let block = parse(data, 0, &params().shrunk_for_input(data.len()), NoDict);
             assert_eq!(reconstruct(&block, &[]).unwrap(), data);
             assert!(block.sequences.is_empty());
         }

@@ -25,6 +25,12 @@
 //! hash-table shrinking for small inputs that the paper calls out in its
 //! KVSTORE1 study (Section IV-E).
 //!
+//! Dictionaries are "used as shared history" (§II-B). [`parse`] treats
+//! any prefix of its buffer as history and inserts it on every call;
+//! [`parse_with_dict`] instead attaches a [`DictState`], the
+//! dictionary's hash tables digested once, so a small item does not pay
+//! to re-hash the whole dictionary.
+//!
 //! # Example
 //!
 //! ```
@@ -46,12 +52,14 @@
 #![allow(clippy::indexing_slicing)]
 #![warn(missing_docs)]
 
+mod dict;
 mod hashchain;
 mod hashfast;
 mod optimal;
 mod params;
 mod seq;
 
+pub use dict::DictState;
 pub use params::{MatchParams, Strategy};
 pub use seq::{reconstruct, ParsedBlock, Sequence};
 
@@ -103,6 +111,41 @@ pub type Result<T> = std::result::Result<T, Error>;
 ///
 /// Panics if `start > buf.len()`.
 pub fn parse(buf: &[u8], start: usize, params: &MatchParams) -> ParsedBlock {
+    parse_impl(buf, start, params, None)
+}
+
+/// [`parse`] where `buf` starts with a dictionary whose match-finder
+/// state is `dict`: its digest for the parse's `hash_log` is attached
+/// (and built on first use) instead of inserting the dictionary into
+/// fresh tables. History after the dictionary (earlier blocks of the
+/// same frame) is inserted as in [`parse`].
+///
+/// The result equals `parse(buf, start, params)` whenever
+/// `params.window_log <= 22` (every level table in this workspace).
+/// `buf[..dict.len()]` must be the bytes `dict` was digested from on
+/// every call; other bytes still yield a parse that reconstructs
+/// `buf[start..]` (every candidate is verified against `buf`), only a
+/// worse one.
+///
+/// # Panics
+///
+/// Panics if `start > buf.len()` or `start < dict.len()`.
+pub fn parse_with_dict(
+    buf: &[u8],
+    start: usize,
+    params: &MatchParams,
+    dict: &DictState,
+) -> ParsedBlock {
+    assert!(dict.len() <= start, "block starts inside the dictionary");
+    parse_impl(buf, start, params, Some(dict))
+}
+
+fn parse_impl(
+    buf: &[u8],
+    start: usize,
+    params: &MatchParams,
+    dict: Option<&DictState>,
+) -> ParsedBlock {
     assert!(start <= buf.len(), "start beyond buffer");
     let mut p = params.shrunk_for_input(buf.len() - start);
     // Table sizes shrink with the block being parsed, but the window is
@@ -113,11 +156,21 @@ pub fn parse(buf: &[u8], start: usize, params: &MatchParams) -> ParsedBlock {
         let avail_log = (usize::BITS - (buf.len() - 1).leading_zeros()).max(10);
         p.window_log = params.window_log.min(avail_log);
     }
+    let digest = dict
+        .filter(|_| start < buf.len())
+        .and_then(|d| d.digest(&buf[..d.len()], p.hash_log));
+    match digest {
+        Some(d) => run(buf, start, &p, d),
+        None => run(buf, start, &p, dict::NoDict),
+    }
+}
+
+fn run(buf: &[u8], start: usize, p: &MatchParams, dict: impl dict::History) -> ParsedBlock {
     match p.strategy {
-        Strategy::Fast => hashfast::parse(buf, start, &p),
-        Strategy::Greedy => hashchain::parse(buf, start, &p, false),
-        Strategy::Lazy => hashchain::parse(buf, start, &p, true),
-        Strategy::Optimal => optimal::parse(buf, start, &p),
+        Strategy::Fast => hashfast::parse(buf, start, p, dict),
+        Strategy::Greedy => hashchain::parse(buf, start, p, dict, false),
+        Strategy::Lazy => hashchain::parse(buf, start, p, dict, true),
+        Strategy::Optimal => optimal::parse(buf, start, p, dict),
     }
 }
 

@@ -12,6 +12,7 @@
 //! sacrificing a long match now for two cheaper ones later — not exact
 //! entropy accounting.
 
+use crate::dict::History;
 use crate::hashchain::ChainFinder;
 use crate::params::MatchParams;
 use crate::seq::{ParsedBlock, Sequence};
@@ -39,7 +40,7 @@ fn match_price(len: u32, offset: u32, min_match: u32) -> u32 {
     6 + off_bits + len_bits
 }
 
-pub(crate) fn parse(buf: &[u8], start: usize, p: &MatchParams) -> ParsedBlock {
+pub(crate) fn parse(buf: &[u8], start: usize, p: &MatchParams, dict: impl History) -> ParsedBlock {
     let len = buf.len();
     let n = len - start;
     let mut block = ParsedBlock::new();
@@ -48,7 +49,7 @@ pub(crate) fn parse(buf: &[u8], start: usize, p: &MatchParams) -> ParsedBlock {
     }
 
     // Pass 1: gather candidates at every position.
-    let mut finder = ChainFinder::new(buf, p);
+    let mut finder = ChainFinder::new(buf, p, dict);
     let mut cands: Vec<Vec<(u32, u32)>> = vec![Vec::new(); n];
     let mut scratch = Vec::with_capacity(MAX_CANDIDATES);
     let mut i = 0usize;
@@ -124,6 +125,7 @@ pub(crate) fn parse(buf: &[u8], start: usize, p: &MatchParams) -> ParsedBlock {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dict::NoDict;
     use crate::seq::reconstruct;
     use crate::Strategy;
 
@@ -136,7 +138,7 @@ mod tests {
         let data: Vec<u8> = (0..500u32)
             .flat_map(|i| format!("row={},col={};", i % 40, i % 9).into_bytes())
             .collect();
-        let block = parse(&data, 0, &params().shrunk_for_input(data.len()));
+        let block = parse(&data, 0, &params().shrunk_for_input(data.len()), NoDict);
         assert_eq!(reconstruct(&block, &[]).unwrap(), data);
         assert!(block.match_coverage() > 0.5);
     }
@@ -148,7 +150,7 @@ mod tests {
         let mut buf = dict.to_vec();
         let start = buf.len();
         buf.extend_from_slice(msg);
-        let block = parse(&buf, start, &params());
+        let block = parse(&buf, start, &params(), NoDict);
         assert_eq!(reconstruct(&block, dict).unwrap(), msg);
     }
 
@@ -157,11 +159,12 @@ mod tests {
         // Classic optimal-parse win: taking the greedy long match forces
         // an expensive continuation.
         let data = b"abcdefgh__cdefghijklmnoZZZabcdefghijklmno".to_vec();
-        let o = parse(&data, 0, &params().shrunk_for_input(data.len()));
+        let o = parse(&data, 0, &params().shrunk_for_input(data.len()), NoDict);
         let g = crate::hashchain::parse(
             &data,
             0,
             &MatchParams::new(Strategy::Greedy).shrunk_for_input(data.len()),
+            NoDict,
             false,
         );
         assert_eq!(reconstruct(&o, &[]).unwrap(), data);
@@ -187,7 +190,7 @@ mod tests {
     #[test]
     fn empty_and_tiny_inputs() {
         for data in [&b""[..], b"x", b"xy", b"xyz"] {
-            let block = parse(data, 0, &params().shrunk_for_input(data.len()));
+            let block = parse(data, 0, &params().shrunk_for_input(data.len()), NoDict);
             assert_eq!(reconstruct(&block, &[]).unwrap(), data);
         }
     }

@@ -133,6 +133,15 @@ struct UseCase {
     quarantine: VecDeque<Vec<u8>>,
     /// Bytes currently held in `quarantine`.
     quarantine_bytes: usize,
+    /// One breaker per op (`"compress"`, `"decompress"`) over the zstdx
+    /// codec, created at the op's first admitted call.
+    breakers: Vec<(&'static str, Arc<CircuitBreaker>)>,
+}
+
+impl UseCase {
+    fn breaker_of(&self, op: &str) -> Option<&Arc<CircuitBreaker>> {
+        self.breakers.iter().find(|(o, _)| *o == op).map(|(_, b)| b)
+    }
 }
 
 /// The stateful service. See the [crate docs](crate).
@@ -151,8 +160,6 @@ pub struct ManagedCompression {
     admission: Arc<AdmissionController>,
     /// Service-wide token-bucket retry budget.
     retry_budget: Arc<RetryBudget>,
-    /// One breaker per (use case, op) over the zstdx codec.
-    breakers: HashMap<(String, &'static str), Arc<CircuitBreaker>>,
     /// Operational fault hook (chaos harness); `None` in production.
     fault_hook: Option<FaultHook>,
     /// How backoff delays are waited out; injectable for determinism.
@@ -181,7 +188,6 @@ impl ManagedCompression {
             clock,
             admission: AdmissionController::new(config.resilience.admission),
             retry_budget: Arc::new(RetryBudget::new(&config.resilience.retry)),
-            breakers: HashMap::new(),
             fault_hook: None,
             sleeper: Arc::new(|nanos| std::thread::sleep(std::time::Duration::from_nanos(nanos))),
             last_mode: ServiceMode::Normal,
@@ -225,8 +231,9 @@ impl ManagedCompression {
     /// The state of the breaker guarding `(use_case, op)` — `op` is
     /// `"compress"` or `"decompress"` — or `None` before any traffic.
     pub fn breaker_state(&self, use_case: &str, op: &'static str) -> Option<BreakerState> {
-        self.breakers
-            .get(&(use_case.to_string(), op))
+        self.use_cases
+            .get(use_case)?
+            .breaker_of(op)
             .map(|b| b.state())
     }
 
@@ -238,20 +245,25 @@ impl ManagedCompression {
         use_case: &str,
         op: &'static str,
     ) -> Vec<crate::resilience::BreakerTransition> {
-        self.breakers
-            .get(&(use_case.to_string(), op))
+        self.use_cases
+            .get(use_case)
+            .and_then(|c| c.breaker_of(op))
             .map(|b| b.transitions())
             .unwrap_or_default()
     }
 
+    /// The use case's breaker for `op`, created on first use. Looks up
+    /// by `&str`; only a new use case allocates its name.
     fn breaker(&mut self, use_case: &str, op: &'static str) -> Arc<CircuitBreaker> {
         let cfg = self.config.resilience.breaker;
         let clock = Arc::clone(&self.clock);
-        Arc::clone(
-            self.breakers
-                .entry((use_case.to_string(), op))
-                .or_insert_with(|| Arc::new(CircuitBreaker::new(cfg, clock))),
-        )
+        let case = self.case_mut(use_case);
+        if let Some(b) = case.breaker_of(op) {
+            return Arc::clone(b);
+        }
+        let b = Arc::new(CircuitBreaker::new(cfg, clock));
+        case.breakers.push((op, Arc::clone(&b)));
+        b
     }
 
     /// Publishes breaker state to the global gauge the scrape endpoint
@@ -300,21 +312,30 @@ impl ManagedCompression {
         ((h.finish() as u32) << 20) | (version & 0xfffff)
     }
 
+    /// The state of `use_case`, created (name allocated, reservoir
+    /// seeded) only on its first call.
     fn case_mut(&mut self, use_case: &str) -> &mut UseCase {
-        let config = self.config;
-        let mut h = DefaultHasher::new();
-        use_case.hash(&mut h);
-        let seed = config.seed ^ h.finish();
+        if !self.use_cases.contains_key(use_case) {
+            let config = self.config;
+            let mut h = DefaultHasher::new();
+            use_case.hash(&mut h);
+            let seed = config.seed ^ h.finish();
+            self.use_cases.insert(
+                use_case.to_string(),
+                UseCase {
+                    reservoir: Reservoir::new(config.reservoir_capacity, seed),
+                    versions: Vec::new(),
+                    next_version: 1,
+                    calls_since_train: 0,
+                    quarantine: VecDeque::new(),
+                    quarantine_bytes: 0,
+                    breakers: Vec::new(),
+                },
+            );
+        }
         self.use_cases
-            .entry(use_case.to_string())
-            .or_insert_with(|| UseCase {
-                reservoir: Reservoir::new(config.reservoir_capacity, seed),
-                versions: Vec::new(),
-                next_version: 1,
-                calls_since_train: 0,
-                quarantine: VecDeque::new(),
-                quarantine_bytes: 0,
-            })
+            .get_mut(use_case)
+            .expect("use case inserted above")
     }
 
     /// Compresses `data` under `use_case`, transparently using (and

@@ -169,3 +169,143 @@ fn frames_match_golden_hashes() {
         );
     }
 }
+
+/// Dictionary grid: trained dictionary content and the frames written
+/// with it are pinned, so work on dictionary training or on how the
+/// match finder attaches dictionary history must leave both unchanged.
+mod dictionary_grid {
+    use super::*;
+
+    /// Trained 16 KiB dictionary content per reservoir:
+    /// (name, XXH64 of the content, content length).
+    #[rustfmt::skip]
+    const GOLDEN_CONTENT: &[(&str, u64, usize)] = &[
+        ("CACHE1", 0xc09f4e65566c1c63, 16384),
+        ("CACHE2", 0x4261642516cf3897, 16384),
+        ("DW2", 0x50060a4982a0ea1e, 16384),
+    ];
+
+    /// CACHE1-dictionary frames: (zstdx level, input length, frame hash).
+    #[rustfmt::skip]
+    const GOLDEN_FRAMES: &[(i32, usize, u64)] = &[
+        (1, 0, 0xb3e03ae1772456fb),
+        (1, 1, 0x58ed8695746a7557),
+        (1, 2, 0x611cacd45d0df48a),
+        (1, 3, 0xf8a764f556a1eb44),
+        (1, 4, 0x27c0c3d09b73dc4d),
+        (1, 64, 0x9218f49189df0fb9),
+        (1, 1024, 0x71ca4b7b462e05c4),
+        (1, 8192, 0x8481c38a274433f7),
+        (3, 0, 0xb3e03ae1772456fb),
+        (3, 1, 0x58ed8695746a7557),
+        (3, 2, 0x611cacd45d0df48a),
+        (3, 3, 0xf8a764f556a1eb44),
+        (3, 4, 0x27c0c3d09b73dc4d),
+        (3, 64, 0x3e26d46aa053aab7),
+        (3, 1024, 0x5cac5b6995e7a6be),
+        (3, 8192, 0xf3b88252b923f352),
+        (9, 0, 0xb3e03ae1772456fb),
+        (9, 1, 0x58ed8695746a7557),
+        (9, 2, 0x611cacd45d0df48a),
+        (9, 3, 0xf8a764f556a1eb44),
+        (9, 4, 0x27c0c3d09b73dc4d),
+        (9, 64, 0x47957c058bf88c4a),
+        (9, 1024, 0xbbc771c75f8372d6),
+        (9, 8192, 0xe28db469b2b30359),
+        (19, 0, 0xb3e03ae1772456fb),
+        (19, 1, 0x58ed8695746a7557),
+        (19, 2, 0x611cacd45d0df48a),
+        (19, 3, 0xf8a764f556a1eb44),
+        (19, 4, 0x27c0c3d09b73dc4d),
+        (19, 64, 0xdf37caab34476de6),
+        (19, 1024, 0xe872c66bd4f74fda),
+        (19, 8192, 0x532d338fcd4e2128),
+    ];
+
+    /// A ≥200 KiB multi-block frame at level 3 with the CACHE1 dictionary.
+    const GOLDEN_MULTI_BLOCK: u64 = 0x27190964ab9f9bcf;
+
+    const LEVELS: [i32; 4] = [1, 3, 9, 19];
+    const INPUT_LENS: [usize; 8] = [0, 1, 2, 3, 4, 64, 1024, 8192];
+    const MULTI_BLOCK_LEN: usize = 200 * 1024 + 17;
+    /// The managed service's default reservoir capacity.
+    const RESERVOIR: usize = 64;
+
+    fn cache_items(profile: &corpus::cache::CacheProfile, n: usize, seed: u64) -> Vec<Vec<u8>> {
+        corpus::cache::generate_items(profile, n, seed)
+            .into_iter()
+            .map(|i| i.data)
+            .collect()
+    }
+
+    fn train(samples: &[Vec<u8>], id: u32) -> dict::Dictionary {
+        let refs: Vec<&[u8]> = samples.iter().map(Vec::as_slice).collect();
+        dict::train(&refs, 16 * 1024, id)
+    }
+
+    /// CACHE1 reservoir, plus held-out items of the same schemas laid
+    /// end to end (at least `MULTI_BLOCK_LEN` bytes).
+    fn cache1() -> (Vec<Vec<u8>>, Vec<u8>) {
+        let mut items = cache_items(&corpus::cache::cache1_profile(), 1600, 31);
+        let held_out = items.split_off(RESERVOIR).concat();
+        assert!(
+            held_out.len() >= MULTI_BLOCK_LEN,
+            "{} held-out bytes",
+            held_out.len()
+        );
+        (items, held_out)
+    }
+
+    fn content_rows() -> Vec<(&'static str, u64, usize)> {
+        let reservoirs = [
+            ("CACHE1", cache1().0),
+            (
+                "CACHE2",
+                cache_items(&corpus::cache::cache2_profile(), RESERVOIR, 32),
+            ),
+            ("DW2", corpus::orc::shuffle_partitions(24_000, 16, 33)),
+        ];
+        reservoirs
+            .into_iter()
+            .map(|(name, samples)| {
+                let d = train(&samples, 1);
+                (name, xxh64(d.as_bytes(), 0), d.len())
+            })
+            .collect()
+    }
+
+    #[test]
+    fn dictionary_content_and_frames_match_golden_hashes() {
+        let content = content_rows();
+        let (reservoir, held_out) = cache1();
+        let d = train(&reservoir, 0x5eed);
+        let frames: Vec<(i32, usize, u64)> = LEVELS
+            .iter()
+            .flat_map(|&level| INPUT_LENS.iter().map(move |&n| (level, n)))
+            .map(|(level, n)| {
+                let frame = Zstdx::new(level).compress_with_dict(&held_out[..n], &d);
+                (level, n, xxh64(&frame, 0))
+            })
+            .collect();
+        let multi = Zstdx::new(3).compress_with_dict(&held_out[..MULTI_BLOCK_LEN], &d);
+        assert_eq!(
+            Zstdx::new(3).decompress_with_dict(&multi, &d).unwrap(),
+            &held_out[..MULTI_BLOCK_LEN]
+        );
+        let multi = xxh64(&multi, 0);
+        if content != GOLDEN_CONTENT || frames != GOLDEN_FRAMES || multi != GOLDEN_MULTI_BLOCK {
+            let mut table = String::from("const GOLDEN_CONTENT: &[(&str, u64, usize)] = &[\n");
+            for (name, h, len) in &content {
+                table.push_str(&format!("    (\"{name}\", 0x{h:016x}, {len}),\n"));
+            }
+            table.push_str("];\n\nconst GOLDEN_FRAMES: &[(i32, usize, u64)] = &[\n");
+            for (level, n, h) in &frames {
+                table.push_str(&format!("    ({level}, {n}, 0x{h:016x}),\n"));
+            }
+            table.push_str(&format!(
+                "];\n\nconst GOLDEN_MULTI_BLOCK: u64 = 0x{multi:016x};\n"
+            ));
+            panic!("dictionary content or frame bytes changed; recomputed:\n{table}");
+        }
+    }
+}
